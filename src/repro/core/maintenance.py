@@ -30,6 +30,17 @@ statistics changed" (an uncovered insert changes only the raw data, yet
 still bumps) because a spurious rebuild costs time while a missed one
 serves wrong answers.
 
+The raw rows live in one growable ``(capacity, 4)`` float64 array
+whose first ``len()`` rows are the live data, in insertion order.  An
+insert writes the next free row (the array doubles when full); a
+delete finds the earliest value-equal live row with one vectorised
+scan — prefiltered on ``x1``, then checked on the whole row, so
+``-0.0`` equals ``0.0`` exactly as :func:`numpy.array_equal` would —
+and shifts the tail down by one, keeping the order.  :meth:`state`
+carries a copy of the live rows as an array; the serving tier's
+:class:`~repro.serving.wal.ShardWAL` writes it to a sha256-pinned raw
+float64 file next to its JSON checkpoint envelope.
+
 Mutations report under the ``maintenance.*`` counter namespace in
 :data:`repro.obs.OBS` (``maintenance.inserts``,
 ``maintenance.deletes``, ``maintenance.delete_misses``,
@@ -41,6 +52,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 import numpy as np
+import numpy.typing as npt
 
 from ..geometry import Rect, RectSet
 from ..obs import OBS
@@ -74,18 +86,22 @@ class MaintainedHistogram:
             raise ValueError("drift_threshold must be in (0, 1]")
         self._partitioner = partitioner
         self._drift_threshold = drift_threshold
-        self._rows: List[np.ndarray] = [row.copy() for row in data.coords]
+        self._coords: "npt.NDArray[np.float64]" = np.array(
+            data.coords, dtype=np.float64
+        ).reshape(-1, 4)
+        self._n = len(self._coords)
         self.buckets: List[Bucket] = partitioner.partition(data)
         self._modifications = 0
         self._uncovered = 0
         self._epoch = 0
 
     def state(self) -> dict:
-        """JSON-serialisable snapshot of the full mutable state.
+        """Snapshot of the full mutable state.
 
         Bucket rows use the :func:`repro.storage.persist.save_buckets`
-        layout (``[x1, y1, x2, y2, count, avg_w, avg_h, avg_density]``);
-        Python floats round-trip JSON exactly, so
+        layout (``[x1, y1, x2, y2, count, avg_w, avg_h, avg_density]``)
+        as Python floats, which round-trip JSON exactly; ``rows`` is a
+        copy of the live ``(n, 4)`` float64 data array.
         :meth:`from_state` reconstructs a bit-identical histogram.
         """
         return {
@@ -100,9 +116,7 @@ class MaintainedHistogram:
                 ]
                 for b in self.buckets
             ],
-            "rows": [
-                [float(v) for v in row] for row in self._rows
-            ],
+            "rows": self._coords[:self._n].copy(),
         }
 
     @classmethod
@@ -122,14 +136,17 @@ class MaintainedHistogram:
         different (epoch-0) summary, not the pre-crash one.  Every
         field of the mutable state is restored verbatim, so the result
         is bit-identical to the instance the state was captured from.
+        ``rows`` may be an ``(n, 4)`` array or, as in checkpoints
+        written before the rows moved to a binary file, a list of
+        4-element lists.
         """
         hist = cls.__new__(cls)
         hist._partitioner = partitioner
         hist._drift_threshold = drift_threshold
-        hist._rows = [
-            np.asarray(row, dtype=np.float64)
-            for row in state["rows"]
-        ]
+        hist._coords = np.array(
+            state["rows"], dtype=np.float64
+        ).reshape(-1, 4)
+        hist._n = len(hist._coords)
         hist.buckets = [
             Bucket(
                 Rect(float(r[0]), float(r[1]), float(r[2]),
@@ -150,7 +167,7 @@ class MaintainedHistogram:
     # bookkeeping
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._n
 
     @property
     def epoch(self) -> int:
@@ -174,7 +191,7 @@ class MaintainedHistogram:
     @property
     def needs_refresh(self) -> bool:
         """True when accumulated drift warrants a rebuild."""
-        n = max(len(self._rows), 1)
+        n = max(self._n, 1)
         return (
             self._modifications >= self._drift_threshold * n
             or self._uncovered >= 0.25 * self._drift_threshold * n
@@ -193,7 +210,14 @@ class MaintainedHistogram:
 
     def insert(self, rect: Rect) -> None:
         """Add a rectangle; update the covering bucket's statistics."""
-        self._rows.append(np.asarray(rect.as_tuple(), dtype=np.float64))
+        if self._n == len(self._coords):
+            grown = np.empty(
+                (max(2 * self._n, 16), 4), dtype=np.float64
+            )
+            grown[:self._n] = self._coords[:self._n]
+            self._coords = grown
+        self._coords[self._n] = rect.as_tuple()
+        self._n += 1
         self._modifications += 1
         self._epoch += 1
         OBS.add("maintenance.inserts")
@@ -214,13 +238,18 @@ class MaintainedHistogram:
         lives in :meth:`repro.core.bucket.Bucket.with_deleted`.
         """
         target = np.asarray(rect.as_tuple(), dtype=np.float64)
-        for i, row in enumerate(self._rows):
-            if np.array_equal(row, target):
-                del self._rows[i]
-                break
-        else:
+        live = self._coords[:self._n]
+        # Prefilter on x1, then compare whole rows: the earliest
+        # value-equal row goes, as a front-to-back array_equal scan
+        # would pick it.
+        candidates = np.flatnonzero(live[:, 0] == target[0])
+        hits = candidates[(live[candidates] == target).all(axis=1)]
+        if len(hits) == 0:
             OBS.add("maintenance.delete_misses")
             return False
+        i = int(hits[0])
+        live[i:-1] = live[i + 1:]
+        self._n -= 1
         self._modifications += 1
         self._epoch += 1
         OBS.add("maintenance.deletes")
@@ -239,9 +268,11 @@ class MaintainedHistogram:
 
     def current_data(self) -> RectSet:
         """The live distribution (initial data plus modifications)."""
-        if not self._rows:
+        if self._n == 0:
             return RectSet.empty()
-        return RectSet(np.vstack(self._rows), copy=False, validate=False)
+        return RectSet(
+            self._coords[:self._n].copy(), copy=False, validate=False
+        )
 
     def refresh(self) -> None:
         """Rebuild the partitioning from the current data (ANALYZE).

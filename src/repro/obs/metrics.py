@@ -47,9 +47,11 @@ __all__ = [
     "snapshot_from_json",
 ]
 
-#: Histogram sample retention cap; beyond it only the moments (count,
-#: total, min, max) stay exact and percentiles describe the first
-#: ``MAX_HISTOGRAM_SAMPLES`` observations.
+#: Histogram sample retention cap.  The moments (count, total, min,
+#: max) are always exact; percentiles come from an evenly thinned
+#: sample — whenever the buffer fills, every second sample is dropped
+#: and only every ``stride``-th later observation is kept, with the
+#: stride doubled — so they describe the whole stream, not its start.
 MAX_HISTOGRAM_SAMPLES = 4096
 
 
@@ -96,9 +98,9 @@ class TimerStat:
 
 
 class HistogramStat:
-    """Distribution of observed values (exact moments, capped samples)."""
+    """Distribution of observed values (exact moments, thinned samples)."""
 
-    __slots__ = ("count", "total", "min", "max", "_samples")
+    __slots__ = ("count", "total", "min", "max", "_samples", "_stride")
 
     def __init__(self) -> None:
         self.count = 0
@@ -106,6 +108,7 @@ class HistogramStat:
         self.min = float("inf")
         self.max = float("-inf")
         self._samples: List[float] = []
+        self._stride = 1
 
     def observe(self, value: float) -> None:
         value = float(value)
@@ -115,8 +118,12 @@ class HistogramStat:
             self.min = value
         if value > self.max:
             self.max = value
-        if len(self._samples) < MAX_HISTOGRAM_SAMPLES:
+        # Keeps observations 0, stride, 2*stride, ... (0-based).
+        if (self.count - 1) % self._stride == 0:
             self._samples.append(value)
+            if len(self._samples) >= MAX_HISTOGRAM_SAMPLES:
+                del self._samples[1::2]
+                self._stride *= 2
 
     def _percentile(self, q: float) -> float:
         if not self._samples:

@@ -504,7 +504,12 @@ class HistogramShard:
             self._wal.maybe_checkpoint(self)
 
     def snapshot_state(self) -> Dict[str, Any]:
-        """JSON-serialisable full mutable state (checkpoint body)."""
+        """Full mutable state (checkpoint body).
+
+        JSON-serialisable except ``hist["rows"]``, the histogram's
+        ``(n, 4)`` float64 data array, which :class:`ShardWAL` writes
+        to a binary rows file of its own.
+        """
         hist_state = (
             self.hist.state() if self.hist is not None else None
         )
@@ -544,12 +549,19 @@ class HistogramShard:
     def state_digest(self) -> str:
         """SHA-256 over the canonical snapshot (the bit-identity
         gate: a recovered worker copy must digest equal to the
-        authoritative copy)."""
-        body = json.dumps(
-            self.snapshot_state(), sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(body.encode("utf-8")).hexdigest()
+        authoritative copy).
+
+        The JSON part of the snapshot is hashed canonically, followed
+        by the raw bytes of the data rows.
+        """
+        state = self.snapshot_state()
+        rows = b""
+        if state["hist"] is not None:
+            rows = state["hist"].pop("rows").tobytes()
+        body = json.dumps(state, sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(body.encode("utf-8"))
+        digest.update(rows)
+        return digest.hexdigest()
 
     def clone_unbuilt(self) -> "HistogramShard":
         """A fresh, empty shard with this shard's configuration —

@@ -21,6 +21,24 @@ derived decision (bucket targeting, drift-triggered refreshes) is
 re-made deterministically and the recovered shard digests equal to
 the parent's copy.
 
+A checkpoint is two files in ``<directory>/s<shard_id>/``:
+
+* ``rows-<digest>.f64`` — the histogram's raw data rows as a
+  little-endian float64 ``(n, 4)`` block, named by the first 16 hex
+  digits of its SHA-256 and written atomically (tmp + fsync +
+  replace) *first*;
+* ``checkpoint.json`` — the checksummed ``shard-checkpoint`` envelope
+  (sequence number, epochs, drift counters, bucket rows), whose
+  ``hist.rows`` entry pins the rows file by ``file``, ``shape`` and
+  ``sha256``.  It replaces the previous envelope only after the rows
+  file is durable, so a crash in between leaves the previous
+  checkpoint and its rows file intact.
+
+Recovery refuses a rows file whose SHA-256 or size disagrees with the
+envelope (:class:`~repro.errors.ArtifactCorruptError`).  Envelopes
+written before the rows moved out of the JSON, with ``hist.rows`` an
+inline list of 4-element lists, still restore.
+
 Only the parent writes the log: worker copies drop their WAL handle at
 the pickle boundary (``HistogramShard.__getstate__``), so a mutation is
 journaled exactly once no matter how many processes replay it.
@@ -31,14 +49,20 @@ Counters: ``serving.wal.records``, ``serving.wal.checkpoints``,
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, \
     Union
 
+import numpy as np
+import numpy.typing as npt
+
 from ..errors import ArtifactCorruptError
 from ..geometry import Rect
 from ..obs import OBS
-from ..storage.persist import read_artifact, write_artifact
+from ..resilience.faults import fire
+from ..storage.persist import atomic_write_bytes, read_artifact, \
+    write_artifact
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .shard import HistogramShard, ShardedHistogram
@@ -49,6 +73,10 @@ PathLike = Union[str, Path]
 
 _CHECKPOINT_KIND = "shard-checkpoint"
 _RECORD_KIND = "shard-wal"
+
+#: On-disk layout of a checkpoint's rows file (fixed byte order, so a
+#: log directory reads the same on any host).
+_ROWS_DTYPE = np.dtype(np.float64).newbyteorder("<")
 
 #: Default mutation count between checkpoints.  Small enough that a
 #: replay is cheap, large enough that checkpointing does not dominate
@@ -88,10 +116,18 @@ class ShardWAL:
         self.directory.mkdir(parents=True, exist_ok=True)
         # Resume a pre-existing log: the next record follows the
         # highest sequence number on disk (checkpoint or record).
+        # Records the checkpoint already covers are left over from a
+        # crash between its replace and their unlink; they are not
+        # part of the tail, so they go now instead of counting
+        # toward the next checkpoint.
         checkpoint = self._read_checkpoint()
         if checkpoint is not None:
             self._seq = int(checkpoint["seq"])
-        for seq, _path in self._record_files():
+        base = self._seq
+        for seq, path in self._record_files():
+            if seq <= base:
+                path.unlink(missing_ok=True)
+                continue
             self._seq = max(self._seq, seq)
             self._since_checkpoint += 1
 
@@ -104,6 +140,48 @@ class ShardWAL:
 
     def _record_path(self, seq: int) -> Path:
         return self.directory / f"op-{seq:08d}.json"
+
+    def _write_rows(
+        self, rows: "npt.NDArray[np.float64]"
+    ) -> Dict[str, Any]:
+        """Durably write a rows file; returns the envelope's reference
+        to it (``file``, ``shape``, ``sha256``)."""
+        block = np.ascontiguousarray(rows, dtype=_ROWS_DTYPE)
+        data = block.tobytes()
+        digest = hashlib.sha256(data).hexdigest()
+        name = f"rows-{digest[:16]}.f64"
+        atomic_write_bytes(self.directory / name, data)
+        return {
+            "file": name,
+            "shape": [int(n) for n in block.shape],
+            "sha256": digest,
+        }
+
+    def _read_rows(self, ref: Dict[str, Any]) -> "npt.NDArray[Any]":
+        """Load and verify the rows file an envelope refers to (a
+        read-only little-endian view; ``from_state`` copies it)."""
+        fire("storage.read")
+        path = self.directory / str(ref["file"])
+
+        def corrupt(reason: str) -> ArtifactCorruptError:
+            OBS.add("storage.corrupt_artifacts")
+            return ArtifactCorruptError(
+                f"corrupt shard checkpoint rows {path}: {reason}",
+                hint="delete the shard's WAL directory and "
+                     "re-checkpoint from the live shard",
+            )
+
+        try:
+            data = path.read_bytes()
+        except OSError as exc:
+            raise corrupt(f"unreadable ({exc})") from exc
+        if hashlib.sha256(data).hexdigest() != ref["sha256"]:
+            raise corrupt("checksum mismatch")
+        shape = tuple(int(n) for n in ref["shape"])
+        if len(shape) != 2 or shape[1] != 4 \
+                or len(data) != shape[0] * 4 * _ROWS_DTYPE.itemsize:
+            raise corrupt(f"size does not match shape {list(shape)}")
+        return np.frombuffer(data, dtype=_ROWS_DTYPE).reshape(shape)
 
     def _record_files(self) -> List[Any]:
         files = []
@@ -162,13 +240,26 @@ class ShardWAL:
         return True
 
     def checkpoint(self, shard: "HistogramShard") -> None:
-        """Fold the shard's current state into the checkpoint file and
-        truncate the journaled records it covers."""
+        """Fold the shard's current state into the checkpoint files and
+        truncate the journaled records it covers.
+
+        The rows file is durable before the envelope that names it
+        replaces the previous one; only then do the previous rows
+        file and the covered records go.
+        """
         state = shard.snapshot_state()
         state["seq"] = self._seq
+        keep = None
+        if state["hist"] is not None:
+            ref = self._write_rows(state["hist"]["rows"])
+            state["hist"] = dict(state["hist"], rows=ref)
+            keep = ref["file"]
         write_artifact(
             self.checkpoint_path, state, kind=_CHECKPOINT_KIND
         )
+        for path in self.directory.glob("rows-*.f64"):
+            if path.name != keep:
+                path.unlink(missing_ok=True)
         for seq, path in self._record_files():
             if seq <= self._seq:
                 path.unlink(missing_ok=True)
@@ -197,6 +288,11 @@ class ShardWAL:
         base = 0
         if checkpoint is not None:
             base = int(checkpoint["seq"])
+            hist = checkpoint["hist"]
+            if hist is not None and isinstance(hist["rows"], dict):
+                checkpoint["hist"] = dict(
+                    hist, rows=self._read_rows(hist["rows"])
+                )
             shard.restore_state(checkpoint)
         replayed = 0
         for seq, path in self._record_files():

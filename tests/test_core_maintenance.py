@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     MaintainedHistogram,
     MinSkewPartitioner,
     buckets_from_members,
 )
+from repro.core.bucket import owner_of_center
 from repro.counting import brute_force_counts
 from repro.data import uniform_rects
 from repro.estimators import BucketEstimator
@@ -324,3 +327,129 @@ class TestAccuracyUnderChange:
         hist.refresh()
         rebuilt = total_err(hist.estimate)
         assert rebuilt <= maintained * 1.05
+
+
+# ----------------------------------------------------------------------
+# row store vs a plain-list reference model
+# ----------------------------------------------------------------------
+class _ListModel:
+    """The row store's reference semantics: a Python list of one-row
+    arrays, deletes by a front-to-back ``np.array_equal`` scan, bucket
+    statistics updated through the same center rule."""
+
+    def __init__(self, hist):
+        self.partitioner = hist._partitioner
+        self.rows = [row.copy() for row in hist.current_data().coords]
+        self.buckets = list(hist.buckets)
+        self.epoch = hist.epoch
+
+    def _owner(self, rect):
+        cx, cy = rect.center
+        return owner_of_center(cx, cy, [b.bbox for b in self.buckets])
+
+    def coords(self):
+        if not self.rows:
+            return np.empty((0, 4), dtype=np.float64)
+        return np.vstack(self.rows)
+
+    def insert(self, rect):
+        self.rows.append(np.asarray(rect.as_tuple(), dtype=np.float64))
+        self.epoch += 1
+        idx = self._owner(rect)
+        if idx is not None:
+            self.buckets[idx] = self.buckets[idx].with_inserted(rect)
+
+    def delete(self, rect):
+        target = np.asarray(rect.as_tuple(), dtype=np.float64)
+        for i, row in enumerate(self.rows):
+            if np.array_equal(row, target):
+                del self.rows[i]
+                break
+        else:
+            return False
+        self.epoch += 1
+        idx = self._owner(rect)
+        if idx is not None:
+            self.buckets[idx] = self.buckets[idx].with_deleted(rect)
+        return True
+
+    def refresh(self):
+        data = RectSet(self.coords(), copy=False, validate=False)
+        if len(data) == 0:
+            self.buckets = []
+        else:
+            layout = [b.bbox for b in self.partitioner.partition(data)]
+            self.buckets = buckets_from_members(data, layout)
+        self.epoch += 1
+
+
+# Few distinct values, so duplicate rows and -0.0/0.0 pairs are common.
+_LOWS = st.sampled_from([-0.0, 0.0, 1.0, 2.5])
+_SIDES = st.sampled_from([0.0, 1.0, 3.0])
+_RECTS = st.builds(
+    lambda x, y, w, h: Rect(x, y, x + w, y + h), _LOWS, _LOWS, _SIDES, _SIDES
+)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), _RECTS),
+        st.tuples(st.just("delete"), _RECTS),
+        st.tuples(st.just("refresh"), st.none()),
+        st.tuples(st.just("roundtrip"), st.booleans()),
+    ),
+    max_size=40,
+)
+
+
+class TestRowStoreDifferential:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_RECTS, min_size=1, max_size=6), _OPS)
+    def test_matches_list_model(self, initial, ops):
+        partitioner = MinSkewPartitioner(3, n_regions=16)
+        data = RectSet(np.array([r.as_tuple() for r in initial]))
+        hist = MaintainedHistogram(partitioner, data)
+        model = _ListModel(hist)
+        for kind, arg in ops:
+            if kind == "insert":
+                hist.insert(arg)
+                model.insert(arg)
+            elif kind == "delete":
+                assert hist.delete(arg) == model.delete(arg)
+            elif kind == "refresh":
+                hist.refresh()
+                model.refresh()
+            else:
+                # arg=True: the inline-list layout of old checkpoints
+                state = hist.state()
+                if arg:
+                    state["rows"] = state["rows"].tolist()
+                hist = MaintainedHistogram.from_state(partitioner, state)
+            got = hist.current_data().coords
+            want = model.coords()
+            assert np.array_equal(got, want)
+            # the byte check pins which of two value-equal rows a
+            # delete removed (-0.0 and 0.0 compare equal)
+            assert got.tobytes() == want.tobytes()
+            assert hist.buckets == model.buckets
+            assert hist.epoch == model.epoch
+            assert len(hist) == len(model.rows)
+
+    def test_delete_removes_earliest_equal_row(self):
+        data = RectSet(np.array([
+            [-0.0, 0.0, 1.0, 1.0],
+            [5.0, 5.0, 6.0, 6.0],
+            [0.0, 0.0, 1.0, 1.0],
+        ]))
+        hist = MaintainedHistogram(MinSkewPartitioner(2, n_regions=16), data)
+        assert hist.delete(Rect(0.0, 0.0, 1.0, 1.0))
+        got = hist.current_data().coords
+        assert got.tobytes() == np.array([
+            [5.0, 5.0, 6.0, 6.0],
+            [0.0, 0.0, 1.0, 1.0],
+        ]).tobytes()
+
+    def test_current_data_is_a_copy(self, hist):
+        before = hist.current_data()
+        snapshot = before.coords.copy()
+        hist.delete(before[0])
+        hist.insert(Rect(1.0, 1.0, 2.0, 2.0))
+        assert before.coords.tobytes() == snapshot.tobytes()

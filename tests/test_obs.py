@@ -126,6 +126,20 @@ def test_histogram_sample_cap_keeps_exact_moments():
     assert h["total"] == pytest.approx(n * (n - 1) / 2)
 
 
+def test_histogram_percentiles_cover_the_whole_stream():
+    # Past the sample cap the retained samples thin evenly instead of
+    # freezing on the first MAX_HISTOGRAM_SAMPLES observations.
+    reg = MetricsRegistry(enabled=True)
+    for v in range(10_000):
+        reg.observe("rising", v)
+    h = reg.snapshot()["histograms"]["rising"]
+    assert h["count"] == 10_000
+    assert h["p50"] == pytest.approx(5_000, abs=50)
+    assert h["p95"] == pytest.approx(9_500, abs=50)
+    stat = reg.histogram_stats("rising")
+    assert len(stat._samples) <= MAX_HISTOGRAM_SAMPLES
+
+
 # ----------------------------------------------------------------------
 # disabled-mode no-op behaviour
 # ----------------------------------------------------------------------

@@ -34,7 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import charminar
-from repro.errors import ShardWorkerError
+from repro.errors import ArtifactCorruptError, ShardWorkerError
 from repro.geometry import RectSet
 from repro.obs import OBS
 from repro.resilience import (
@@ -52,9 +52,11 @@ from repro.serving import (
     ShardedHistogram,
     ShardHealth,
     ShardRouter,
+    ShardWAL,
     attach_wals,
     wal_recovery,
 )
+from repro.storage.persist import write_artifact
 from repro.workload import live_workload, range_queries
 
 DATA = charminar(900, seed=23)
@@ -293,6 +295,111 @@ class TestWALReplay:
                 assert router._pool.call(
                     shard.shard_id, "state_digest"
                 ) == shard.state_digest()
+
+
+def _apply(sharded, ops):
+    for op in ops:
+        if op.kind == "insert":
+            sharded.insert(op.rect)
+        else:
+            sharded.delete(op.rect)
+
+
+class _Crash(BaseException):
+    """Stands in for a SIGKILL at a chosen write."""
+
+
+class TestBinaryCheckpoint:
+    """The checkpoint envelope pins a binary rows file by sha256."""
+
+    def _busy_shard(self, sharded):
+        # the shard that holds rows and saw mutations
+        return max(sharded.shards, key=len)
+
+    def test_flipped_rows_byte_is_detected(self, tmp_path):
+        sharded = _build()
+        wals = attach_wals(sharded, tmp_path, checkpoint_every=4)
+        _apply(sharded, _mutations(12))
+        shard = self._busy_shard(sharded)
+        wal = wals[shard.shard_id]
+        wal.checkpoint(shard)
+        (rows_file,) = wal.directory.glob("rows-*.f64")
+        raw = bytearray(rows_file.read_bytes())
+        raw[len(raw) // 2] ^= 0x01
+        rows_file.write_bytes(bytes(raw))
+        with pytest.raises(ArtifactCorruptError, match="checksum"):
+            wal.recover(shard.clone_unbuilt())
+
+    def test_crash_before_envelope_replace_keeps_previous(
+        self, tmp_path, monkeypatch
+    ):
+        sharded = _build()
+        wals = attach_wals(sharded, tmp_path, checkpoint_every=1000)
+        _apply(sharded, _mutations(20))
+        shard = self._busy_shard(sharded)
+        wal = wals[shard.shard_id]
+        assert wal.replayable_ops() > 0
+
+        def crash(path, payload, *, kind):
+            raise _Crash()
+
+        import repro.serving.wal as wal_module
+
+        monkeypatch.setattr(wal_module, "write_artifact", crash)
+        with pytest.raises(_Crash):
+            wal.checkpoint(shard)
+        monkeypatch.undo()
+        # the new rows file is durable, the old envelope still rules
+        assert len(list(wal.directory.glob("rows-*.f64"))) == 2
+        fresh = wal_recovery(sharded, tmp_path)(shard.shard_id)
+        assert fresh.state_digest() == shard.state_digest()
+        assert fresh.epoch == shard.epoch
+        # the next checkpoint collects the orphaned rows file
+        wal.checkpoint(shard)
+        assert len(list(wal.directory.glob("rows-*.f64"))) == 1
+        fresh = wal_recovery(sharded, tmp_path)(shard.shard_id)
+        assert fresh.state_digest() == shard.state_digest()
+
+    def test_inline_rows_checkpoint_still_restores(self, tmp_path):
+        sharded = _build()
+        wals = attach_wals(sharded, tmp_path, checkpoint_every=1000)
+        shard = self._busy_shard(sharded)
+        wal = wals[shard.shard_id]
+        # an envelope in the layout written before the rows file
+        state = shard.snapshot_state()
+        state["hist"]["rows"] = state["hist"]["rows"].tolist()
+        state["seq"] = 0
+        write_artifact(
+            wal.checkpoint_path, state, kind="shard-checkpoint"
+        )
+        for path in wal.directory.glob("rows-*.f64"):
+            path.unlink()
+        _apply(sharded, _mutations(20))
+        assert wal.replayable_ops() > 0
+        fresh = wal_recovery(sharded, tmp_path)(shard.shard_id)
+        assert fresh.state_digest() == shard.state_digest()
+        assert fresh.epoch == shard.epoch
+
+    def test_resume_drops_records_the_checkpoint_covers(self, tmp_path):
+        sharded = _build()
+        wals = attach_wals(sharded, tmp_path, checkpoint_every=1000)
+        _apply(sharded, _mutations(12))
+        shard = self._busy_shard(sharded)
+        wal = wals[shard.shard_id]
+        records = sorted(wal.directory.glob("op-*.json"))
+        assert records
+        saved = {path: path.read_bytes() for path in records}
+        wal.checkpoint(shard)
+        # crash between the envelope replace and the record unlinks:
+        # the covered records are back on disk
+        for path, body in saved.items():
+            path.write_bytes(body)
+        resumed = ShardWAL(tmp_path, shard.shard_id, checkpoint_every=2)
+        assert list(resumed.directory.glob("op-*.json")) == []
+        assert resumed.replayable_ops() == 0
+        # the tail starts empty: one new record does not checkpoint
+        resumed.record("insert", _mutations(1)[0].rect)
+        assert not resumed.maybe_checkpoint(shard)
 
 
 # ----------------------------------------------------------------------
