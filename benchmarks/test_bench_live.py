@@ -67,7 +67,6 @@ def test_every_cell_exercised_maintenance(live_run):
         # the engine detected staleness at least once per mutation run
         assert live["cache_flushes"] > 0
         assert live["estimator_rebuilds"] > 0
-        assert live["index_rebuilds"] > 0
 
 
 def test_epoch_consistency_gate(live_run):

@@ -50,9 +50,6 @@ class LintConfig:
         ``self.<attr>`` names treated as the query cache.
     epoch001_read_methods:
         Methods on a cache attribute that read derived state.
-    epoch001_probe_methods:
-        Methods on any ``self`` attribute treated as an index probe
-        (``candidates`` — the :class:`BucketIndex` contract).
     epoch001_exempt_methods:
         Methods never analysed (constructors; the revalidators
         themselves are always exempt).
@@ -148,10 +145,7 @@ class LintConfig:
         "cache", "_cache",
     })
     epoch001_read_methods: FrozenSet[str] = frozenset({
-        "lookup", "lookup_batch", "get",
-    })
-    epoch001_probe_methods: FrozenSet[str] = frozenset({
-        "candidates",
+        "lookup", "get",
     })
     epoch001_exempt_methods: FrozenSet[str] = frozenset({
         "__init__", "__repr__", "__getstate__", "__setstate__",

@@ -11,12 +11,10 @@ Rule codes
 EPOCH001
     Revalidation dominance.  In a class that defines or inherits a
     revalidator (``_revalidate``/``sync``), every cache read
-    (``self.cache.lookup*``/``.get``) and every index probe
-    (``self.<attr>.candidates``) must be dominated by a revalidator
-    call on every path.  Interprocedural within the class: a private
-    method whose reads are not locally dominated must itself be
-    dominated at each call site (that is how ``_serve`` stays honest
-    behind ``estimate_batch``).  Additionally, anywhere in the
+    (``self.cache.lookup``/``.get``) must be dominated by a
+    revalidator call on every path.  Interprocedural within the
+    class: a private method whose reads are not locally dominated
+    must itself be dominated at each call site.  Additionally, anywhere in the
     EPOCH001 packages (which include ``repro.tuning``), storing a
     published-summary attribute on a receiver other than ``self``
     (``hist.buckets = ...``) is a finding: it swaps the summary
@@ -143,12 +141,12 @@ def _is_dunder(name: str) -> bool:
 # ----------------------------------------------------------------------
 @register_project
 class EpochDominanceRule(ProjectRule):
-    """Cache reads and index probes must follow a revalidate."""
+    """Cache reads must follow a revalidate."""
 
     code = "EPOCH001"
     summary = (
-        "cache reads and index probes in revalidating classes must "
-        "be dominated by _revalidate()/sync() on every path"
+        "cache reads in revalidating classes must be dominated by "
+        "_revalidate()/sync() on every path"
     )
 
     def run(self) -> List[Violation]:
@@ -275,10 +273,8 @@ class EpochDominanceRule(ProjectRule):
             if func.attr in needy:
                 what = (
                     f"call to self.{func.attr}() (which reads "
-                    f"cache/index state)"
+                    f"cache state)"
                 )
-            elif func.attr in self.config.epoch001_probe_methods:
-                what = f"index probe .{func.attr}()"
             else:
                 what = f"cache read .{func.attr}()"
         revalidators = "/".join(
@@ -311,15 +307,13 @@ class _EpochClassifier:
             if func.attr in self.needy:
                 return EVENT_READ
             return None
-        # self.<cache>.<read>() and self.<attr>.candidates()
+        # self.<cache>.<read>()
         if isinstance(receiver, ast.Attribute) \
                 and isinstance(receiver.value, ast.Name) \
-                and receiver.value.id == "self":
-            if func.attr in self.config.epoch001_probe_methods:
-                return EVENT_READ
-            if receiver.attr in self.config.epoch001_cache_attrs \
-                    and func.attr in self.config.epoch001_read_methods:
-                return EVENT_READ
+                and receiver.value.id == "self" \
+                and receiver.attr in self.config.epoch001_cache_attrs \
+                and func.attr in self.config.epoch001_read_methods:
+            return EVENT_READ
         return None
 
 

@@ -978,7 +978,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", default=None,
         choices=("scalar", "batch", "sharded", "server", "tuned"),
         help="estimation path: plain per-technique batch call, the "
-             "serving engine with cache+index and a measured speedup "
+             "serving engine's batch path and a measured speedup "
              "vs the scalar loop, the sharded scatter-gather "
              "router gated against the single-engine reference, "
              "the micro-batching TCP front door measuring p50/p99 "

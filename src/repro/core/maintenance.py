@@ -22,13 +22,12 @@ Every mutation that the histogram accepts bumps a monotonically
 increasing **epoch** (:attr:`MaintainedHistogram.epoch`).  The epoch is
 the staleness contract of the live-serving path: any consumer holding a
 derived summary — a :class:`~repro.core.bucket.BucketArrays` kernel
-snapshot, a :class:`~repro.serving.BucketIndex`, a
-:class:`~repro.serving.QueryCache` entry — records the epoch it was
-built from and must rebuild (or flush) when the histogram's epoch has
-moved past it.  Epoch bumps deliberately over-approximate "the bucket
-statistics changed" (an uncovered insert changes only the raw data, yet
-still bumps) because a spurious rebuild costs time while a missed one
-serves wrong answers.
+snapshot, a :class:`~repro.serving.QueryCache` entry — records the
+epoch it was built from and must rebuild (or flush) when the
+histogram's epoch has moved past it.  Epoch bumps deliberately
+over-approximate "the bucket statistics changed" (an uncovered insert
+changes only the raw data, yet still bumps) because a spurious rebuild
+costs time while a missed one serves wrong answers.
 
 The raw rows live in one growable ``(capacity, 4)`` float64 array
 whose first ``len()`` rows are the live data, in insertion order.  An
@@ -305,13 +304,13 @@ class MaintainedHistogram:
         The feedback tuner's single entry point into the epoch
         machinery: the new list becomes visible together with exactly
         one epoch bump, so every derived consumer — the estimator
-        snapshot, the kernel arrays, the bucket index, the query
-        cache, the shard router — sees either the old or the new
-        summary, never a half-tuned mix.  Structural drift serviced
-        by the pass resets the modification counter; uncovered
-        inserts survive (a tuning pass reshapes existing boxes, it
-        does not extend coverage), so :attr:`needs_refresh` stays
-        honest about layout drift.
+        snapshot, the kernel arrays, the query cache, the shard
+        router — sees either the old or the new summary, never a
+        half-tuned mix.  Structural drift serviced by the pass
+        resets the modification counter; uncovered inserts survive (a
+        tuning pass reshapes existing boxes, it does not extend
+        coverage), so :attr:`needs_refresh` stays honest about layout
+        drift.
         """
         self.buckets = list(buckets)
         self._modifications = 0

@@ -9,22 +9,16 @@ Both query paths run the same vectorised kernel over columnar bucket
 state (:class:`repro.core.bucket.BucketArrays`, precomputed once at
 construction): the batch path evaluates a ``(Q, B)`` broadcast block,
 and the scalar path evaluates the identical block with ``Q = 1``, so
-scalar and batch answers are bit-identical by construction.
-
-A bucket *index* (any object with a ``candidates(query)`` method
-returning bucket positions, e.g. :class:`repro.serving.BucketIndex`)
-can be attached to accelerate scalar probing from O(buckets) to near
-O(answer); the candidate set is a superset of every contributing
-bucket, so pruning never changes which buckets matter.  The pruned
-path evaluates the kernel over the candidates only but scatters the
-terms into a full-width row before reducing, so even the partial-sum
-grouping matches the linear scan and indexed probing is bit-identical
-to it (the index property suite asserts exact equality).
+scalar and batch answers are bit-identical by construction.  At the
+paper's summary sizes (8 words per bucket, ``B`` in the tens to
+hundreds) a flat scan of every bucket is the whole query path; in the
+serving engine that is scalar: cache → kernel → chain; batch:
+kernel → chain.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -41,15 +35,6 @@ from .base import SelectivityEstimator
 WORDS_PER_BUCKET = 8
 
 
-class BucketProbe(Protocol):
-    """Anything that can name the buckets a query might touch."""
-
-    def candidates(self, query: Rect) -> "npt.NDArray[np.int64]":
-        """Positions of every bucket possibly contributing to
-        ``query`` (a superset of the truly contributing set)."""
-        ...
-
-
 class BucketEstimator(SelectivityEstimator):
     """Sums the uniformity-assumption estimate over a bucket list."""
 
@@ -60,7 +45,6 @@ class BucketEstimator(SelectivityEstimator):
         self.buckets: List[Bucket] = list(buckets)
         self.name = name
         self._arrays = BucketArrays(self.buckets)
-        self._index: Optional[BucketProbe] = None
 
     @classmethod
     def build(
@@ -87,8 +71,8 @@ class BucketEstimator(SelectivityEstimator):
         Live adapters (:class:`repro.estimators.maintained.\
 MaintainedEstimator`) override this with their source histogram's
         monotonic epoch; the serving engine compares it against the
-        epoch it last observed to decide when caches and indexes must
-        be invalidated.
+        epoch it last observed to decide when its cache must be
+        invalidated.
         """
         return 0
 
@@ -104,18 +88,6 @@ MaintainedEstimator`) override this with their source histogram's
         return False
 
     # ------------------------------------------------------------------
-    # index hook
-    # ------------------------------------------------------------------
-    def attach_index(self, index: Optional[BucketProbe]) -> None:
-        """Install (or with ``None`` remove) a bucket probe that the
-        scalar path uses to prune the bucket scan."""
-        self._index = index
-
-    @property
-    def index(self) -> Optional[BucketProbe]:
-        return self._index
-
-    # ------------------------------------------------------------------
     # query paths
     # ------------------------------------------------------------------
     def estimate(self, query: Rect) -> float:
@@ -124,25 +96,7 @@ MaintainedEstimator`) override this with their source histogram's
             [[query.x1, query.y1, query.x2, query.y2]],
             dtype=np.float64,
         )
-        arrays = self._arrays
-        if self._index is not None:
-            chosen = self._index.candidates(query)
-            if OBS.enabled:
-                OBS.add("serving.index.probes")
-                OBS.add("serving.index.candidates", len(chosen))
-            if len(chosen) == 0:
-                return 0.0
-            if len(chosen) < arrays.n:
-                # evaluate the formula over the candidates only, but
-                # reduce over a full-width row: numpy groups partial
-                # sums by array length, so summing the short candidate
-                # vector directly would round differently in the last
-                # ulp than the unpruned (and batch-path) scan
-                terms = np.zeros((1, arrays.n), dtype=np.float64)
-                terms[0, chosen] = \
-                    arrays.select(chosen).estimate_terms(qrow)[0]
-                return float(terms.sum(axis=1)[0])
-        return float(arrays.estimate_block(qrow)[0])
+        return float(self._arrays.estimate_block(qrow)[0])
 
     def _estimate_batch(
         self, queries: RectSet

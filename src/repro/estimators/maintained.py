@@ -14,11 +14,9 @@ Consistency has two halves:
 * **local** — both query paths re-snapshot before answering (via the
   :meth:`sync` hook that :class:`~repro.estimators.BucketEstimator`
   calls first thing), so a bare adapter never serves stale statistics;
-* **shared** — any attached bucket index is *dropped* on sync rather
-  than rebuilt, because the adapter does not know how its owner built
-  it.  Owners that want to keep index acceleration
-  (:class:`repro.serving.BatchServingEngine`) watch :attr:`epoch`
-  themselves and re-attach a fresh index; see the engine's
+* **shared** — owners holding state derived from the answers
+  (:class:`repro.serving.BatchServingEngine`'s query cache) watch
+  :attr:`epoch` themselves and flush on movement; see the engine's
   revalidation step.
 
 A feedback tuning pass (:class:`repro.tuning.FeedbackTuner`) is, from
@@ -71,17 +69,13 @@ class MaintainedEstimator(BucketEstimator):
     def sync(self) -> bool:
         """Re-snapshot the bucket list if the histogram has moved.
 
-        Drops any attached index (it was built over the previous
-        snapshot; serving through it would be the exact stale-pruning
-        bug this layer exists to prevent).  Returns True when a
-        rebuild happened.
+        Returns True when a rebuild happened.
         """
         current = self._histogram.epoch
         if current == self._synced_epoch:
             return False
         self.buckets = list(self._histogram.buckets)
         self._arrays = BucketArrays(self.buckets)
-        self._index = None
         self._synced_epoch = current
         if OBS.enabled:
             OBS.add("serving.epoch.estimator_rebuilds")

@@ -590,9 +590,9 @@ def _bench_live_technique(
     interleaved ``live_workload`` stream mutates it (refreshing
     whenever drift crosses the histogram's threshold).  The cell's
     ``live.live_matches`` field records the staleness contract: after
-    the whole stream, the engine's batch answers — cache, index, and
-    kernel snapshot included — are bit-identical to a freshly built
-    engine over the same buckets.  Accuracy is scored against exact
+    the whole stream, the engine's batch answers — kernel snapshot
+    included — are bit-identical to a freshly built engine over the
+    same buckets.  Accuracy is scored against exact
     ground truth over the *final* data, which is what the histogram
     summarises by then.
     """
@@ -672,13 +672,10 @@ def _bench_live_technique(
             "final_epoch": int(hist.epoch),
             "final_n": int(len(final_data)),
             "cache_flushes": int(
-                engine.cache.flushes if engine.cache else 0
+                engine.cache.flushes if engine.cache is not None else 0
             ),
             "estimator_rebuilds": int(
                 counters.get("serving.epoch.estimator_rebuilds", 0)
-            ),
-            "index_rebuilds": int(
-                counters.get("serving.epoch.index_rebuilds", 0)
             ),
             "replay_seconds": replay_seconds,
             "live_matches": live_matches,
@@ -932,8 +929,9 @@ def _frontdoor_run(
     with ``window``-deep pipelining (:func:`_frontdoor_client`).
     Returns ``(values, per-request latencies in seconds, wall seconds,
     batcher stats)``.  The caller passes a stateless backend (shard
-    caches off) so the batched and the ``max_batch=1`` run see
-    identical per-dispatch work regardless of order.
+    the batch path never touches the shard caches) so the batched and
+    the ``max_batch=1`` run see identical per-dispatch work regardless
+    of order.
     """
     import multiprocessing as mp
 
@@ -990,11 +988,12 @@ def _bench_server_technique(
     """One technique's front-door latency/throughput cell.
 
     The backend is the sharded scatter-gather tier (the same layout
-    ``engine="sharded"`` benches, shard caches off so both runs are
-    stateless).  Two complete runs over the same workload: the
-    micro-batched front door (``config.server_max_batch``,
-    ``config.concurrency`` pipelined client processes) and the *same*
-    server path pinned to ``max_batch=1`` — the honest
+    ``engine="sharded"`` benches; its batch path bypasses the shard
+    caches, so both runs are stateless).  Two complete runs over the
+    same workload: the micro-batched front door
+    (``config.server_max_batch``, ``config.concurrency`` pipelined
+    client processes) and the *same* server path pinned to
+    ``max_batch=1`` — the honest
     single-query-per-call dispatch baseline, since both pay identical
     framing, event-loop, and client costs and differ only in
     coalescing.  ``server.speedup`` is the qps ratio;
@@ -1014,7 +1013,6 @@ def _bench_server_technique(
             technique, quota, n_regions=config.n_regions
         ),
         n_regions=config.n_regions,
-        cache_size=0,
     )
     build_seconds = time.perf_counter() - start
 
@@ -1104,12 +1102,12 @@ def _bench_technique(
     """Build + evaluate one technique with a fresh metrics window.
 
     With ``config.engine == "batch"`` the workload is served through
-    :class:`repro.serving.BatchServingEngine` (cold cache, auto-built
-    bucket index) and the cell additionally records the scalar
-    one-query-at-a-time loop's wall clock (``scalar_seconds``,
-    measured *before* the index is attached — the pre-serving
-    reference path), the resulting ``speedup``, and whether the two
-    paths agreed to exact float equality (``scalar_matches``).
+    :class:`repro.serving.BatchServingEngine` (its batch path: one
+    kernel dispatch) and the cell additionally records the scalar
+    one-query-at-a-time loop's wall clock over the bare estimator
+    (``scalar_seconds``, the pre-serving reference path), the
+    resulting ``speedup``, and whether the two paths agreed to exact
+    float equality (``scalar_matches``).
 
     ``config.engine == "live"`` cells are built by
     :func:`_bench_live_technique` instead (the ``truth`` argument is
@@ -1152,10 +1150,8 @@ def _bench_technique(
         estimates = estimator.estimate_batch(queries)
         estimate_seconds = time.perf_counter() - start
 
-        # the full serving stack (cold cache + auto-attached index) on
-        # the same workload; its per-query bookkeeping is Python-side,
-        # so it is slower than the bare kernel but must still beat the
-        # scalar loop
+        # the serving engine's batch path on the same workload: the
+        # same kernel behind validation and revalidation
         served = BatchServingEngine(estimator)
         start = time.perf_counter()
         engine_estimates = served.estimate_batch(queries)

@@ -79,7 +79,6 @@ _LIVE_SCHEMA = {
         "final_n",
         "cache_flushes",
         "estimator_rebuilds",
-        "index_rebuilds",
         "replay_seconds",
         "live_matches",
     ],
@@ -93,7 +92,6 @@ _LIVE_SCHEMA = {
         "final_n": {"type": "integer", "minimum": 1},
         "cache_flushes": {"type": "integer", "minimum": 0},
         "estimator_rebuilds": {"type": "integer", "minimum": 0},
-        "index_rebuilds": {"type": "integer", "minimum": 0},
         "replay_seconds": {"type": "number", "minimum": 0},
         "live_matches": {"type": "boolean"},
     },

@@ -7,11 +7,8 @@ fast without changing a single answer:
 * :class:`QueryCache` — an LRU result cache keyed by canonicalised
   query rectangles, with hit/miss/eviction counters under
   ``serving.cache.*``;
-* :class:`BucketIndex` — a uniform integral-grid over (inflated)
-  bucket MBRs, falling back to an R*-tree of buckets, that prunes the
-  per-query bucket scan from O(buckets) to near O(answer);
-* :class:`BatchServingEngine` — cache → index → vectorised kernel →
-  fallback chain, wrapped behind the ordinary
+* :class:`BatchServingEngine` — scalar: cache → kernel → chain;
+  batch: kernel → chain, wrapped behind the ordinary
   :class:`~repro.estimators.SelectivityEstimator` interface;
 * :func:`parallel_map` — a deterministic chunked
   ``ProcessPoolExecutor`` mapper (order-preserving, metrics-merging)
@@ -45,10 +42,10 @@ fast without changing a single answer:
   it cannot reach.
 
 The serving fast paths are locked down by a differential test suite:
-batch equals the scalar loop to exact float equality, cache-on equals
-cache-off, a ``workers=4`` sweep is byte-identical to ``workers=1``,
-and the sharded tier's answers equal the single-engine reference
-bit-for-bit.
+batch equals the scalar loop to exact float equality, the scalar
+path's cache-on equals cache-off, a ``workers=4`` sweep is
+byte-identical to ``workers=1``, and the sharded tier's answers equal
+the single-engine reference bit-for-bit.
 """
 
 from .batcher import MicroBatcher, PendingReply
@@ -60,7 +57,6 @@ from .frontdoor import (
     FrontDoorThread,
     encode_frame,
 )
-from .index import BucketIndex
 from .parallel import ShardWorkerPool, parallel_map
 from .router import ShardRouter
 from .shard import (
@@ -76,7 +72,6 @@ from .wal import ShardWAL, attach_wals, wal_recovery
 __all__ = [
     "QueryCache",
     "canonical_key",
-    "BucketIndex",
     "BatchServingEngine",
     "MicroBatcher",
     "PendingReply",

@@ -19,10 +19,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Tuple
 
-import numpy as np
-import numpy.typing as npt
-
-from ..geometry import RectSet
 from ..obs import OBS
 
 __all__ = ["QueryCache", "canonical_key"]
@@ -70,21 +66,15 @@ class QueryCache:
         return len(self._entries)
 
     # ------------------------------------------------------------------
-    def get(self, key: CacheKey) -> "float | None":
-        """The cached estimate for ``key``, refreshing its recency."""
-        value = self._entries.get(key)
-        if value is None:
-            return None
-        self._entries.move_to_end(key)
-        return value
-
     def lookup(self, key: CacheKey) -> "float | None":
-        """:meth:`get` plus hit/miss accounting (the scalar path)."""
-        value = self.get(key)
+        """The cached estimate for ``key``, refreshing its recency,
+        with hit/miss accounting."""
+        value = self._entries.get(key)
         if value is None:
             self.misses += 1
             OBS.add("serving.cache.misses")
         else:
+            self._entries.move_to_end(key)
             self.hits += 1
             OBS.add("serving.cache.hits")
         return value
@@ -100,56 +90,6 @@ class QueryCache:
             entries.popitem(last=False)
             self.evictions += 1
             OBS.add("serving.cache.evictions")
-
-    # ------------------------------------------------------------------
-    def lookup_batch(
-        self, queries: RectSet
-    ) -> Tuple["npt.NDArray[np.float64]", "npt.NDArray[np.int64]"]:
-        """Split a batch into cached answers and missing positions.
-
-        Returns ``(values, missing)``: ``values`` has the cached
-        estimate at every hit position (0.0 placeholders elsewhere)
-        and ``missing`` lists the positions, in order, that must be
-        computed.  Duplicate missing queries are *not* collapsed — the
-        engine computes them all in one kernel call, which keeps the
-        filled batch bit-identical to an uncached evaluation.
-        """
-        n = len(queries)
-        values = np.zeros(n, dtype=np.float64)
-        missing = []
-        coords = queries.coords
-        hits = 0
-        for i in range(n):
-            row = coords[i]
-            key = canonical_key(row[0], row[1], row[2], row[3])
-            cached = self.get(key)
-            if cached is None:
-                missing.append(i)
-            else:
-                values[i] = cached
-                hits += 1
-        misses = len(missing)
-        self.hits += hits
-        self.misses += misses
-        if OBS.enabled:
-            OBS.add("serving.cache.hits", hits)
-            OBS.add("serving.cache.misses", misses)
-        return values, np.asarray(missing, dtype=np.int64)
-
-    def store_batch(
-        self,
-        queries: RectSet,
-        positions: "npt.NDArray[np.int64]",
-        values: "npt.NDArray[np.float64]",
-    ) -> None:
-        """Insert the freshly computed answers for ``positions``."""
-        coords = queries.coords
-        for pos, value in zip(positions, values):
-            row = coords[pos]
-            self.put(
-                canonical_key(row[0], row[1], row[2], row[3]),
-                float(value),
-            )
 
     def clear(self) -> None:
         """Drop every entry (the statistics are kept)."""

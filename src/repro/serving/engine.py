@@ -1,53 +1,46 @@
-"""The batch serving engine: cache → index → kernel → fallback chain.
+"""The batch serving engine: scalar: cache → kernel → chain; batch:
+kernel → chain.
 
 :class:`BatchServingEngine` wraps any
 :class:`~repro.estimators.SelectivityEstimator` behind the same
-interface and serves workloads through three layers, none of which is
-allowed to change a single answer:
+interface and serves it through one path per entry point, neither of
+which is allowed to change a single answer:
 
-1. the **cache** partitions each batch into already-answered queries
-   and fresh ones; only the fresh subset reaches the estimator, and
-   because the vectorised kernels evaluate every batch row
-   independently, the filled batch is bit-identical to an uncached
-   evaluation;
-2. the **index** (attached automatically to any
-   :class:`~repro.estimators.BucketEstimator` found in the wrapped
-   estimator, including inside a
-   :class:`~repro.resilience.GuardedEstimator` chain) prunes the
-   scalar path's bucket scan;
-3. the inner estimator's own ``estimate_batch`` runs the vectorised
-   kernel — and when the inner estimator is a guarded fallback chain,
-   faults degrade along the chain exactly as they do on the scalar
-   path.
+* **scalar** (:meth:`~BatchServingEngine.estimate`) — an LRU **cache**
+  keyed by the canonical query rectangle answers repeats; a miss runs
+  the inner estimator, whose vectorised kernel evaluates the query as
+  a batch of one, and because every estimator is deterministic the
+  cached answer is bit-identical to a fresh one;
+* **batch** (:meth:`~BatchServingEngine.estimate_batch`) — the inner
+  estimator's own ``estimate_batch`` runs the same kernel over the
+  whole batch.  The batch path neither reads nor fills the cache: its
+  callers (the front door and the router) send distinct queries, so a
+  per-row lookup would cost more than the kernel it saves.
 
-Both layers hold *derived* state, and derived state can go stale two
+When the inner estimator is a guarded fallback chain, faults degrade
+along the chain on both paths exactly as they do without the engine.
+
+The cache holds *derived* state, and derived state can go stale two
 ways, each handled by the engine's **revalidation** step that runs
-before any cache or index is consulted:
+before every serve:
 
 * **data staleness** — a live summary
   (:class:`~repro.estimators.MaintainedEstimator`) moved its epoch
   under maintenance.  The engine remembers the epoch it last observed
   for every reachable bucket estimator; on movement it flushes the
-  cache, forces the estimator's kernel snapshot to re-sync, and
-  rebuilds the attached index from the new buckets.  Counted under
-  ``serving.epoch.*`` (``stale``, ``cache_flushes``,
-  ``index_rebuilds``).
+  cache and forces the estimator's kernel snapshot to re-sync.
+  Counted as ``serving.epoch.stale`` and ``serving.cache.flushes``.
 * **chain staleness** — a guarded chain degraded to a fallback link or
   recovered from one since the previous serve.  Cached answers from
   the old link would silently mix qualities, so the cache is flushed
   on every serving-link transition (``serving.epoch.transitions``);
   additionally, answers produced while the chain is degraded are
   *never* cached, so a recovered chain re-computes popular queries at
-  full quality instead of replaying Uniform-quality numbers.  A link
-  built lazily mid-degradation is discovered by the same step and gets
-  its index then (``serving.epoch.links_indexed``).
+  full quality instead of replaying Uniform-quality numbers.
 
-One window remains open by design: the batch *during which* a chain
-degrades can mix earlier cached healthy answers with fresh degraded
-ones, and a batch answered entirely from cache cannot observe a chain
-transition at all (the first miss heals it).  Closing it would require
-consulting the chain before every cache hit, which is the cost the
-cache exists to avoid.
+A scalar miss pins the epoch-read point before its lookup and stores
+its answer only if no epoch moved before the estimate returned, so a
+store can never race the flush that a mid-serve mutation triggers.
 
 The engine reports under the ``serving.*`` metric namespace
 (``serving.requests``, ``serving.queries``, the ``serving.batch``
@@ -70,7 +63,6 @@ from ..obs import OBS
 from ..resilience import GuardedEstimator
 from ..tuning import FeedbackCollector
 from .cache import QueryCache, canonical_key
-from .index import BucketIndex
 
 __all__ = ["BatchServingEngine"]
 
@@ -86,10 +78,10 @@ def _bucket_estimators(
     """Every :class:`BucketEstimator` reachable inside ``estimator``.
 
     Looks through a guarded fallback chain's already-built links;
-    unbuilt links are left lazy (indexing them would force — and pay
+    unbuilt links are left lazy (watching them would force — and pay
     for — their construction up front).  The engine re-runs this
     discovery on every serve, so a link built lazily mid-degradation
-    is picked up on the next call rather than never.
+    has its epoch watched from the next call on.
     """
     if isinstance(estimator, BucketEstimator):
         return [estimator]
@@ -103,7 +95,8 @@ def _bucket_estimators(
 
 
 class BatchServingEngine(SelectivityEstimator):
-    """Serves single queries and batches through cache and index.
+    """Serves single queries through a cache and batches through the
+    kernel.
 
     Parameters
     ----------
@@ -111,11 +104,7 @@ class BatchServingEngine(SelectivityEstimator):
         The wrapped estimator; the engine adopts its ``name`` so
         downstream error tables key identically.
     cache_size:
-        LRU capacity; ``0`` disables the cache entirely.
-    auto_index:
-        Build and attach a :class:`BucketIndex` to every reachable
-        :class:`BucketEstimator` (including ones that only become
-        reachable later, when a guarded link builds lazily).
+        LRU capacity of the scalar path's cache; ``0`` disables it.
     feedback:
         Optional :class:`~repro.tuning.FeedbackCollector`.  Every
         served (query, answer) pair is offered to it *after* the
@@ -129,7 +118,6 @@ class BatchServingEngine(SelectivityEstimator):
         estimator: SelectivityEstimator,
         *,
         cache_size: int = DEFAULT_CACHE_SIZE,
-        auto_index: bool = True,
         feedback: Optional[FeedbackCollector] = None,
     ) -> None:
         self.inner = estimator
@@ -138,8 +126,6 @@ class BatchServingEngine(SelectivityEstimator):
         self.cache: Optional[QueryCache] = (
             QueryCache(cache_size) if cache_size > 0 else None
         )
-        self.auto_index = auto_index
-        self.indexed: List[BucketEstimator] = []
         #: last observed epoch per reachable bucket estimator, keyed by
         #: identity (the value tuple keeps the estimator alive so ids
         #: cannot be recycled under us).
@@ -150,7 +136,7 @@ class BatchServingEngine(SelectivityEstimator):
         self._revalidate()
 
     # ------------------------------------------------------------------
-    # revalidation: epochs, lazy links, chain transitions
+    # revalidation: epochs and chain transitions
     # ------------------------------------------------------------------
     def _flush_cache(self) -> None:
         # unconditional: ``flushes`` counts invalidation *events*, and
@@ -163,42 +149,24 @@ class BatchServingEngine(SelectivityEstimator):
     def _revalidate(self) -> None:
         """Bring every piece of derived state up to date.
 
-        Runs before any cache lookup.  Three responsibilities:
+        Runs before every serve.  Two responsibilities:
 
-        * discover bucket estimators that became reachable since the
-          last serve (lazily built guarded links) and index them;
-        * compare each known estimator's epoch against the last
-          observed value; on movement, re-sync its kernel snapshot,
-          rebuild its index, and flush the cache;
+        * compare each reachable bucket estimator's epoch against the
+          last observed value (recording it for estimators seen for
+          the first time, such as lazily built guarded links); on
+          movement, re-sync its kernel snapshot and flush the cache;
         * compare the guarded chain's serving link against the last
           observed one; on a transition, flush the cache.
         """
         stale = False
         for est in _bucket_estimators(self.inner):
             known = self._observed.get(id(est))
-            if known is None:
-                if self.auto_index and est.buckets:
-                    est.attach_index(
-                        BucketIndex(est.buckets, epoch=est.epoch)
-                    )
-                    self.indexed.append(est)
-                    if OBS.enabled:
-                        OBS.add("serving.epoch.links_indexed")
-                self._observed[id(est)] = (est, est.epoch)
+            if known is not None and est.epoch == known[1]:
                 continue
-            if est.epoch != known[1]:
+            if known is not None:
                 stale = True
                 est.sync()
-                if self.auto_index:
-                    if est.buckets:
-                        est.attach_index(
-                            BucketIndex(est.buckets, epoch=est.epoch)
-                        )
-                        if est not in self.indexed:
-                            self.indexed.append(est)
-                    if OBS.enabled:
-                        OBS.add("serving.epoch.index_rebuilds")
-                self._observed[id(est)] = (est, est.epoch)
+            self._observed[id(est)] = (est, est.epoch)
         if stale:
             if OBS.enabled:
                 OBS.add("serving.epoch.stale")
@@ -225,17 +193,14 @@ class BatchServingEngine(SelectivityEstimator):
         self._chain_state = current
 
     def _epoch_point(self) -> Tuple[Tuple[int, int], ...]:
-        """The pinned epoch-read point of one serve.
+        """The pinned epoch-read point of one scalar serve.
 
         Captured before the cache is consulted and compared after the
-        kernel dispatch: if any reachable estimator's epoch moved in
-        between (a mutation landed *mid-batch*), the cached rows are
-        pre-mutation and the fresh rows post-mutation — filling them
-        into one batch would mix epochs.  The tuple covers every
-        observed estimator, so a mutation on any link of a guarded
-        chain moves the point too.  Granularity is the dispatch call:
-        mutations interleave between Python-level steps, never inside
-        one vectorised kernel evaluation.
+        estimate: if any reachable estimator's epoch moved in between
+        (a mutation landed mid-serve), the answer is not stored, so
+        the store cannot race the flush that mutation triggers.  The
+        tuple covers every observed estimator, so a mutation on any
+        link of a guarded chain moves the point too.
         """
         return tuple(
             (key, est.epoch)
@@ -292,13 +257,13 @@ class BatchServingEngine(SelectivityEstimator):
     def estimate_batch(
         self, queries: RectSet
     ) -> npt.NDArray[np.float64]:
-        """Batch serve under ``serving.*`` accounting.
+        """Batch serve under ``serving.*`` accounting: one kernel
+        dispatch of the inner estimator over the whole batch.
 
-        Overrides the base wrapper completely so the wrapped
-        estimator's ``estimator.batch_queries`` counter reflects only
-        the queries that actually reached it (cache hits never do);
-        validation still runs first, exactly as the base contract
-        requires.
+        Validation runs first, exactly as the base contract requires.
+        The cache is neither read nor filled; revalidation still runs,
+        so an epoch move or chain transition seen here flushes the
+        scalar path's cache before its next lookup.
         """
         validate_coords_array(queries.coords, what="query")
         if OBS.enabled:
@@ -306,39 +271,10 @@ class BatchServingEngine(SelectivityEstimator):
             OBS.add("serving.queries", len(queries))
         with OBS.timer("serving.batch"):
             self._revalidate()
-            values = self._serve(queries)
+            values = self.inner.estimate_batch(queries)
         if self.feedback is not None:
             self.feedback.observe_batch(queries, values)
         return values
-
-    def _serve(self, queries: RectSet) -> npt.NDArray[np.float64]:
-        if self.cache is None:
-            return self.inner.estimate_batch(queries)
-        for _attempt in range(2):
-            point = self._epoch_point()
-            values, missing = self.cache.lookup_batch(queries)
-            if not missing.size:
-                return values
-            fresh = self.inner.estimate_batch(queries.select(missing))
-            if self._epoch_point() != point:
-                # a mutation landed mid-batch, between the cache
-                # lookup and the kernel dispatch: the cached rows are
-                # pre-mutation, the fresh rows post-mutation.  Flush
-                # via revalidation and re-serve the whole batch at the
-                # new epoch instead of mixing the two.
-                if OBS.enabled:
-                    OBS.add("serving.epoch.midbatch_retries")
-                self._revalidate()
-                continue
-            values[missing] = fresh
-            self._observe_chain()
-            if self._cacheable():
-                self.cache.store_batch(queries, missing, fresh)
-            return values
-        # epochs moved on every attempt: answer the batch with one
-        # kernel dispatch at a single consistent point, bypassing (and
-        # never populating) the cache
-        return self.inner.estimate_batch(queries)
 
     # ------------------------------------------------------------------
     # pickling: epoch bookkeeping must survive a process boundary
@@ -372,24 +308,13 @@ class BatchServingEngine(SelectivityEstimator):
 
     # ------------------------------------------------------------------
     def size_words(self) -> int:
-        """Summary footprint of the wrapped estimator (the cache and
-        index are serving-time overhead, not summary state)."""
+        """Summary footprint of the wrapped estimator (the cache is
+        serving-time overhead, not summary state)."""
         return self.inner.size_words()
-
-    def detach_indexes(self) -> None:
-        """Remove every index this engine attached and stop attaching
-        new ones (revalidation would otherwise re-index on the next
-        serve)."""
-        for bucket_est in self.indexed:
-            bucket_est.attach_index(None)
-        self.indexed = []
-        self.auto_index = False
 
     def __repr__(self) -> str:
         cache = (
-            f"cache={self.cache.capacity}" if self.cache else "no-cache"
+            f"cache={self.cache.capacity}"
+            if self.cache is not None else "no-cache"
         )
-        return (
-            f"BatchServingEngine({self.name!r}, {cache}, "
-            f"indexed={len(self.indexed)})"
-        )
+        return f"BatchServingEngine({self.name!r}, {cache})"

@@ -6,8 +6,7 @@ boxes and hosts one full serving stack — a
 :class:`~repro.estimators.MaintainedEstimator` and a
 :class:`~repro.serving.BatchServingEngine` — per shard, each with an
 independent epoch.  A mutation routes to the *owning* shard only, so an
-insert invalidates one shard's cache and index instead of the whole
-tier.
+insert invalidates one shard's cache instead of the whole tier.
 
 **Min-Skew is the shard-boundary algorithm.**  :class:`ShardPlan` runs
 the paper's own partitioner with a bucket quota of ``K``: the top-level
@@ -27,10 +26,9 @@ of three properties the router relies on:
 * per-shard partials are evaluated over the same bucket list in the
   same order whether the batch was clipped or not;
 * clipping a query to a shard's *routing box* (the MBR of the shard's
-  inflated bucket boxes — the same inflation rule
-  :class:`~repro.serving.BucketIndex` uses) never changes any clamp in
-  the Section 3.1 formula, because every inflated bucket box is
-  contained in the routing box;
+  inflated bucket boxes: each box extended by the Section 3.1 query
+  extension) never changes any clamp in the Section 3.1 formula,
+  because every inflated bucket box is contained in the routing box;
 * a query that misses the routing box contributes exactly ``+0.0`` for
   every bucket of that shard, so skipping the shard is the identity on
   a non-negative accumulator.
@@ -70,7 +68,7 @@ from ..resilience import (
     StepClock,
 )
 from ..tuning import FeedbackTuner, TuningReport
-from .engine import DEFAULT_CACHE_SIZE, BatchServingEngine
+from .engine import BatchServingEngine
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .wal import ShardWAL
@@ -215,10 +213,11 @@ class ShardPlan:
 def _inflated_mbr(buckets: Sequence[Bucket]) -> Optional[Rect]:
     """MBR of the buckets' inflated boxes (None for no buckets).
 
-    Uses the exact inflation rule of
-    :class:`~repro.serving.BucketIndex`: half the average member
-    extents per side, except degenerate (zero-area) boxes, which the
-    kernel answers with a raw touch test and are left uninflated.
+    A bucket contributes to a query exactly when the raw query meets
+    its box inflated by half the average member extents per side (the
+    Section 3.1 formula extends the query by that much and clamps into
+    the box); degenerate (zero-area) boxes, which the kernel answers
+    with a raw touch test, are left uninflated.
     """
     if not buckets:
         return None
@@ -302,8 +301,6 @@ class HistogramShard:
         data: RectSet,
         *,
         drift_threshold: float = 0.2,
-        cache_size: int = DEFAULT_CACHE_SIZE,
-        auto_index: bool = True,
         auto_refresh: bool = True,
         guarded: bool = False,
     ) -> None:
@@ -311,8 +308,6 @@ class HistogramShard:
         self.box = box
         self._partitioner = partitioner
         self._drift_threshold = drift_threshold
-        self._cache_size = cache_size
-        self._auto_index = auto_index
         self._auto_refresh = auto_refresh
         self._guarded = guarded
         self._epoch_base = 0
@@ -347,11 +342,7 @@ class HistogramShard:
                 self.estimator, data, self.shard_id
             )
             inner = self.chain
-        self.engine = BatchServingEngine(
-            inner,
-            cache_size=self._cache_size,
-            auto_index=self._auto_index,
-        )
+        self.engine = BatchServingEngine(inner)
 
     # ------------------------------------------------------------------
     @property
@@ -525,8 +516,8 @@ class HistogramShard:
         The histogram is rebuilt via
         :meth:`~repro.core.maintenance.MaintainedHistogram.from_state`
         (no re-partitioning — drifted bucket statistics are restored
-        verbatim) and the serving stack re-created around it; caches,
-        indexes and routing boxes start cold and rebuild on demand.
+        verbatim) and the serving stack re-created around it; caches
+        and routing boxes start cold and rebuild on demand.
         """
         self._epoch_base = int(state["epoch_base"])
         hist_state = state["hist"]
@@ -572,8 +563,6 @@ class HistogramShard:
             self._partitioner,
             RectSet.empty(),
             drift_threshold=self._drift_threshold,
-            cache_size=self._cache_size,
-            auto_index=self._auto_index,
             auto_refresh=self._auto_refresh,
             guarded=self._guarded,
         )
@@ -651,8 +640,6 @@ class ShardedHistogram:
         plan_regions: int = DEFAULT_PLAN_REGIONS,
         n_regions: int = 2_500,
         drift_threshold: float = 0.2,
-        cache_size: int = DEFAULT_CACHE_SIZE,
-        auto_index: bool = True,
         auto_refresh: bool = True,
         guarded: bool = False,
     ) -> "ShardedHistogram":
@@ -695,8 +682,6 @@ class ShardedHistogram:
                     factory(quota),
                     sub,
                     drift_threshold=drift_threshold,
-                    cache_size=cache_size,
-                    auto_index=auto_index,
                     auto_refresh=auto_refresh,
                     guarded=guarded,
                 )

@@ -115,12 +115,10 @@ def _build_served_engine(kind, data, *, n_shards=3, n_buckets=16,
     )
     if kind == "direct":
         # the union reference itself behind a batch engine, rebuilt
-        # per serve so mutations are always visible; cache off keeps
-        # it stateless
+        # per serve so mutations are always visible
         def serve(queries):
             return BatchServingEngine(
-                sharded.union_estimator(), cache_size=0,
-                auto_index=False,
+                sharded.union_estimator()
             ).estimate_batch(queries)
 
         return ServedEngine(

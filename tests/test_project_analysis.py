@@ -383,7 +383,7 @@ _EPOCH_CLEAN = {
                 return self._serve(keys)
 
             def _serve(self, keys):
-                return self.cache.lookup_batch(keys)
+                return self.cache.lookup(keys)
     """,
 }
 
@@ -420,27 +420,12 @@ class TestEpoch001:
                         return self._serve(keys)
 
                     def _serve(self, keys):
-                        return self.cache.lookup_batch(keys)
+                        return self.cache.lookup(keys)
             """,
         })
         found = rule_findings("EPOCH001", project)
         assert len(found) == 1
         assert "_serve" in found[0].message
-
-    def test_index_probe_needs_sync(self, tmp_path):
-        project = project_of(tmp_path, {
-            "estimators/bucket.py": """
-                class BucketEstimator:
-                    def sync(self):
-                        self.epoch = 1
-
-                    def probe(self, rect):
-                        return self._index.candidates(rect)
-            """,
-        })
-        found = rule_findings("EPOCH001", project)
-        assert len(found) == 1
-        assert "candidates" in found[0].message
 
     def test_out_of_scope_package_ignored(self, tmp_path):
         project = project_of(tmp_path, {
@@ -955,14 +940,14 @@ class TestMutationSelfTest:
         source = engine.read_text()
         guarded = (
             "self._revalidate()\n"
-            "            values = self._serve(queries)"
+            "        if self.cache is None:"
         )
         assert guarded in source, (
-            "estimate_batch no longer matches the mutation template; "
+            "estimate no longer matches the mutation template; "
             "update this test alongside the engine"
         )
         engine.write_text(source.replace(
-            guarded, "values = self._serve(queries)"
+            guarded, "if self.cache is None:"
         ))
         result = lint_project([tree_copy])
         assert any(
@@ -1051,9 +1036,9 @@ class TestMutationSelfTest:
     def test_cli_exits_nonzero_on_mutated_tree(self, tree_copy):
         engine = tree_copy / "serving" / "engine.py"
         source = engine.read_text()
+        guarded = "self._revalidate()\n        if self.cache is None:"
+        assert guarded in source
         engine.write_text(source.replace(
-            "self._revalidate()\n"
-            "            values = self._serve(queries)",
-            "values = self._serve(queries)",
+            guarded, "if self.cache is None:"
         ))
         assert main(["lint", "--project", str(tree_copy)]) == 1

@@ -78,25 +78,22 @@ class TestEstimatorBatchValidation:
 class TestEngineValidation:
     def test_rejected_batch_leaves_cache_untouched(self):
         est = build_estimator("Min-Skew", DATA, 8, n_regions=100)
-        engine = BatchServingEngine(est, auto_index=False)
-        try:
-            for kind in sorted(HOSTILE):
-                with pytest.raises(GeometryError):
-                    engine.estimate_batch(_rectset(kind))
-            assert len(engine.cache) == 0
-            assert engine.cache.hits == 0
-            assert engine.cache.misses == 0
-            # the engine still serves valid work afterwards
-            good = range_queries(DATA, 0.1, 10, seed=2)
-            np.testing.assert_array_equal(
-                engine.estimate_batch(good), est.estimate_batch(good)
-            )
-        finally:
-            engine.detach_indexes()
+        engine = BatchServingEngine(est)
+        for kind in sorted(HOSTILE):
+            with pytest.raises(GeometryError):
+                engine.estimate_batch(_rectset(kind))
+        assert len(engine.cache) == 0
+        assert engine.cache.hits == 0
+        assert engine.cache.misses == 0
+        # the engine still serves valid work afterwards
+        good = range_queries(DATA, 0.1, 10, seed=2)
+        np.testing.assert_array_equal(
+            engine.estimate_batch(good), est.estimate_batch(good)
+        )
 
     def test_zero_area_queries_are_valid(self):
         est = build_estimator("Grid", DATA, 8)
-        engine = BatchServingEngine(est, auto_index=False)
+        engine = BatchServingEngine(est)
         coords = np.tile(
             np.array([[10.0, 10.0, 10.0, 10.0]]), (3, 1)
         )
@@ -138,7 +135,7 @@ class TestEngineScalarValidation:
     @pytest.mark.parametrize("kind", sorted(HOSTILE_SCALARS))
     def test_hostile_scalar_rejected(self, kind):
         est = build_estimator("Min-Skew", DATA, 8, n_regions=100)
-        engine = BatchServingEngine(est, auto_index=False)
+        engine = BatchServingEngine(est)
         with pytest.raises(GeometryError):
             engine.estimate(_hostile_rect(*HOSTILE_SCALARS[kind]))
         assert len(engine.cache) == 0
@@ -147,7 +144,7 @@ class TestEngineScalarValidation:
     @pytest.mark.parametrize("kind", sorted(HOSTILE_SCALARS))
     def test_scalar_and_batch_paths_agree_on_rejection(self, kind):
         est = build_estimator("Grid", DATA, 8)
-        engine = BatchServingEngine(est, auto_index=False)
+        engine = BatchServingEngine(est)
         coords = np.array([HOSTILE_SCALARS[kind]], dtype=np.float64)
         with pytest.raises(GeometryError):
             engine.estimate_batch(RectSet(coords, validate=False))
@@ -156,7 +153,7 @@ class TestEngineScalarValidation:
 
     def test_valid_scalar_still_served_and_cached(self):
         est = build_estimator("Grid", DATA, 8)
-        engine = BatchServingEngine(est, auto_index=False)
+        engine = BatchServingEngine(est)
         query = next(iter(range_queries(DATA, 0.1, 1, seed=3)))
         value = engine.estimate(query)
         assert value == est.estimate(query)

@@ -2,9 +2,10 @@
 
 The batch engine must inherit the resilience chain's degradation
 semantics unchanged: an injected fault in the Min-Skew path makes the
-*whole batch* fall through to the next healthy link, the resilience
-counters account for every query in the batch, and the engine's cache
-stays consistent with whatever the degraded chain answered.
+*whole batch* fall through to the next healthy link, and the
+resilience counters account for every query in the batch.  The scalar
+path's cache must never keep a degraded answer, so a recovered chain
+serves (and caches) healthy answers only.
 """
 
 import numpy as np
@@ -12,7 +13,6 @@ import pytest
 
 from repro.data import uniform_rects
 from repro.errors import FallbackExhaustedError
-from repro.estimators import BucketEstimator
 from repro.resilience import (
     FaultInjector,
     FaultPlan,
@@ -40,11 +40,15 @@ def _chain(data, **kwargs):
     return build_fallback_chain(data, 10, n_regions=256, **kwargs)
 
 
+def _scalar(engine, queries):
+    return np.array([engine.estimate(q) for q in queries])
+
+
 def _run(chain, queries, plan, capture):
     """Serve a batch through the engine under an installed fault plan;
     ``capture`` is the ``capture_counters`` fixture; returns
     (values, counters, engine)."""
-    engine = BatchServingEngine(chain, auto_index=False)
+    engine = BatchServingEngine(chain)
 
     def serve():
         with installed(FaultInjector(plan, clock=chain.clock)):
@@ -142,24 +146,38 @@ class TestDegradedBatchServing:
         chain.last_resort = None
         plan = FaultPlan(0, (FaultSpec("estimator.build.*",
                                        kind="corrupt"),))
-        engine = BatchServingEngine(chain, auto_index=False)
+        engine = BatchServingEngine(chain)
         with installed(FaultInjector(plan, clock=chain.clock)):
             with pytest.raises(FallbackExhaustedError):
                 engine.estimate_batch(queries)
+
+
+def _run_scalar(chain, queries, plan, capture):
+    """:func:`_run` through the scalar path, one query per call."""
+    engine = BatchServingEngine(chain)
+
+    def serve():
+        with installed(FaultInjector(plan, clock=chain.clock)):
+            return _scalar(engine, queries)
+
+    values, counters = capture(serve)
+    return values, counters, engine
 
 
 class TestCacheUnderDegradation:
     def test_degraded_values_are_never_cached(
         self, data, queries, capture_counters
     ):
-        """A batch served by a fallback link must not populate the
+        """Queries served by a fallback link must not populate the
         cache — otherwise popular queries keep getting Sample-quality
         answers long after the chain recovers."""
         chain = _chain(data)
         plan = FaultPlan(
             0, (FaultSpec("estimator.build.Min-Skew", kind="corrupt"),)
         )
-        first, counters, engine = _run(chain, queries, plan, capture_counters)
+        first, counters, engine = _run_scalar(
+            chain, queries, plan, capture_counters
+        )
         assert counters.get("resilience.degraded") == N_QUERIES
         assert len(engine.cache) == 0
 
@@ -173,10 +191,13 @@ class TestCacheUnderDegradation:
         plan = FaultPlan(
             0, (FaultSpec("estimator.build.Min-Skew", kind="corrupt"),)
         )
+        # one degraded batch is one build failure; answering every
+        # query of it one by one would open the breaker instead
         first, _, engine = _run(chain, queries, plan, capture_counters)
         # injector gone; one build failure leaves the breaker closed
         # (threshold 3), so the chain rebuilds Min-Skew and recovers
-        second = engine.estimate_batch(queries)
+        # on the scalar path, the only one that caches
+        second = _scalar(engine, queries)
         healthy = _chain(data)
         np.testing.assert_array_equal(
             second, healthy.estimate_batch(queries)
@@ -186,7 +207,7 @@ class TestCacheUnderDegradation:
         # flushed the cache before repopulating it with healthy values
         assert engine.cache.flushes == 1
         hits_before = engine.cache.hits
-        third = engine.estimate_batch(queries)
+        third = _scalar(engine, queries)
         np.testing.assert_array_equal(third, second)
         assert engine.cache.hits == hits_before + N_QUERIES
 
@@ -211,10 +232,11 @@ class TestShardedChaos:
             guarded=True,
         )
 
-    def _faulted_serve(self, data, queries, capture):
+    def _faulted_serve(self, data, queries, capture, scalar=False):
         """Serve through a router while shard 0's primary link fails
         to build; ``capture`` is the ``capture_counters`` fixture;
-        returns (values, counters, router)."""
+        ``scalar`` serves one ``router.estimate`` call per query
+        instead of one batch; returns (values, counters, router)."""
         from repro.serving import ShardRouter
 
         sharded = self._sharded(data)
@@ -229,6 +251,8 @@ class TestShardedChaos:
 
         def serve():
             with installed(FaultInjector(plan, clock=clock)):
+                if scalar:
+                    return _scalar(router, queries)
                 return router.estimate_batch(queries)
 
         values, counters = capture(serve)
@@ -333,9 +357,13 @@ class TestShardedChaos:
     def test_degraded_partial_is_not_cached_by_the_shard(
         self, data, queries, capture_counters
     ):
-        _, _, router = self._faulted_serve(
-            data, queries, capture_counters
+        _, counters, router = self._faulted_serve(
+            data, queries, capture_counters, scalar=True
         )
+        # every query reaching shard 0 was answered degraded
+        idx0, _ = self._subbatch(router.sharded, queries, 0)
+        assert counters.get("resilience.served.Uniform@s0") \
+            == len(idx0) > 0
         engine = router.sharded.shards[0].engine
         assert len(engine.cache) == 0
         for shard in router.sharded.shards[1:]:
@@ -345,52 +373,6 @@ class TestShardedChaos:
             assert len(shard.engine.cache) == len(
                 {tuple(row) for row in clipped}
             )
-
-
-class TestLazyLinkIndexing:
-    def test_lazily_built_link_is_indexed_on_discovery(
-        self, data, queries
-    ):
-        """Engine construction finds no built links (the chain is
-        fully lazy); the Min-Skew link built during the first serve
-        must still receive a BucketIndex on the next revalidation
-        instead of scanning every bucket forever."""
-        chain = _chain(data)
-        engine = BatchServingEngine(chain)
-        assert engine.indexed == []
-        engine.estimate_batch(queries)  # builds the Min-Skew link
-        engine.estimate(queries[0])  # revalidation discovers it
-        minskew = next(
-            link for link in chain.links if link.name == "Min-Skew"
-        ).built_estimator
-        assert isinstance(minskew, BucketEstimator)
-        assert minskew.index is not None
-        assert minskew in engine.indexed
-
-    def test_link_built_after_degradation_is_indexed(
-        self, data, queries
-    ):
-        """The satellite scenario: the chain degrades first (Min-Skew
-        unbuilt, Sample serving), then recovers — the late-built
-        Min-Skew link still gets its index, and the indexed scalar
-        path answers exactly like a healthy chain's."""
-        chain = _chain(data)
-        plan = FaultPlan(
-            0, (FaultSpec("estimator.build.Min-Skew", kind="corrupt"),)
-        )
-        engine = BatchServingEngine(chain)
-        with installed(FaultInjector(plan, clock=chain.clock)):
-            engine.estimate_batch(queries)
-        assert engine.indexed == []  # only Sample built; no buckets
-        engine.estimate_batch(queries)  # recovery: Min-Skew builds
-        engine.estimate(queries[0])  # discovery + index attach
-        minskew = next(
-            link for link in chain.links if link.name == "Min-Skew"
-        ).built_estimator
-        assert minskew is not None and minskew.index is not None
-        healthy = _chain(data)
-        for q in list(queries)[:10]:
-            assert engine.estimate(q) == healthy.estimate(q)
 
 
 class TestFrontDoorWorkerKillChaos:

@@ -2,16 +2,15 @@
 
 The serving engine's staleness contract: no matter what maintenance
 sequence (inserts, deletes, refreshes) runs against a live histogram —
-interleaved with serves that populate the cache and index — the
-engine's answers are bit-identical to a freshly constructed engine
-over the same buckets.  Every derived-state layer is covered: the
-``BucketArrays`` kernel snapshot, the ``BucketIndex``, and the
-``QueryCache``.  These are exactly the tests that fail when any of
-those snapshots is frozen at construction time.
+interleaved with scalar serves that populate the cache — the engine's
+answers are bit-identical to a freshly constructed engine over the
+same buckets.  Every derived-state layer is covered: the
+``BucketArrays`` kernel snapshot and the scalar path's
+``QueryCache``.  These are exactly the tests that fail when either is
+frozen at construction time.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +30,10 @@ def _hist(drift_threshold=0.9):
     )
 
 
+def _scalar_loop(engine, queries):
+    return np.array([engine.estimate(q) for q in queries])
+
+
 def _fresh_reference(hist, queries):
     """What a from-scratch engine over the current buckets answers."""
     engine = BatchServingEngine(
@@ -46,8 +49,8 @@ class TestDifferentialProperty:
         self, seed, n_ops
     ):
         """Random insert/delete/refresh churn, with serves interleaved
-        so the cache and index go stale mid-stream, ends bit-identical
-        to a from-scratch engine."""
+        so the cache goes stale mid-stream, ends bit-identical to a
+        from-scratch engine on both paths."""
         hist = _hist()
         engine = BatchServingEngine(MaintainedEstimator(hist))
         queries = range_queries(DATA, 0.1, 25, seed=seed + 1)
@@ -64,16 +67,19 @@ class TestDifferentialProperty:
             if rng.random() < 0.2:
                 # populate the cache mid-churn: these answers must not
                 # survive the next mutation
-                engine.estimate_batch(queries)
+                _scalar_loop(engine, queries)
+        fresh = _fresh_reference(hist, queries)
         np.testing.assert_array_equal(
-            engine.estimate_batch(queries),
-            _fresh_reference(hist, queries),
+            engine.estimate_batch(queries), fresh
+        )
+        np.testing.assert_array_equal(
+            _scalar_loop(engine, queries), fresh
         )
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=10, deadline=None)
     def test_scalar_path_equals_fresh_scalar_path(self, seed):
-        """The scalar (cache + index-pruned) path agrees with a fresh
+        """The scalar (cache + kernel) path agrees with a fresh
         engine's scalar path after maintenance."""
         hist = _hist()
         engine = BatchServingEngine(MaintainedEstimator(hist))
@@ -97,7 +103,7 @@ class TestLayerInvalidation:
         hist = _hist()
         engine = BatchServingEngine(MaintainedEstimator(hist))
         queries = range_queries(DATA, 0.15, 30, seed=3)
-        before = engine.estimate_batch(queries)
+        before = _scalar_loop(engine, queries)
         assert engine.cache is not None and len(engine.cache) > 0
         # an insert into a covered bucket changes that bucket's count
         mbr = DATA.mbr()
@@ -105,7 +111,7 @@ class TestLayerInvalidation:
         from repro.geometry import Rect
 
         hist.insert(Rect.from_center(cx, cy, 1.0, 1.0))
-        after = engine.estimate_batch(queries)
+        after = _scalar_loop(engine, queries)
         assert engine.cache.flushes >= 1
         np.testing.assert_array_equal(
             after, _fresh_reference(hist, queries)
@@ -132,29 +138,6 @@ class TestLayerInvalidation:
         )
         assert est.synced_epoch == hist.epoch
 
-    def test_index_is_rebuilt_and_stamped_with_new_epoch(self):
-        hist = _hist()
-        est = MaintainedEstimator(hist)
-        engine = BatchServingEngine(est)
-        assert est.index is not None and est.index.epoch == hist.epoch
-        hist.refresh()
-        # any serve revalidates: the index must be fresh afterwards
-        engine.estimate_batch(range_queries(DATA, 0.1, 5, seed=7))
-        assert est.index is not None
-        assert est.index.epoch == hist.epoch
-        assert est in engine.indexed
-
-    def test_sync_alone_drops_the_index(self):
-        """Without an engine to rebuild it, a stale index is dropped
-        rather than consulted — pruning with old boxes is the bug."""
-        hist = _hist()
-        est = MaintainedEstimator(hist)
-        BatchServingEngine(est)  # attaches an index
-        assert est.index is not None
-        hist.refresh()
-        assert est.sync() is True
-        assert est.index is None
-
     def test_epoch_counters_are_reported(self, capture_counters):
         hist = _hist()
         engine = BatchServingEngine(MaintainedEstimator(hist))
@@ -167,7 +150,6 @@ class TestLayerInvalidation:
 
         _, counters = capture_counters(serve_refresh_serve)
         assert counters.get("serving.epoch.stale") == 1
-        assert counters.get("serving.epoch.index_rebuilds") == 1
         assert counters.get("serving.epoch.estimator_rebuilds") == 1
         assert counters.get("serving.cache.flushes") == 1
         assert counters.get("maintenance.refreshes") == 1
@@ -216,8 +198,8 @@ class TestScalarBatchAgreementLive:
 
 class TestShardedLiveMaintenance:
     """Live maintenance against the sharded tier: a mutation stream
-    invalidates only the owning shard — the others keep their epochs,
-    caches, and indexes — while answers stay bit-identical to a fresh
+    invalidates only the owning shard — the others keep their epochs
+    and caches — while answers stay bit-identical to a fresh
     single-engine rebuild over the current buckets."""
 
     def _sharded(self, **kwargs):
@@ -265,7 +247,8 @@ class TestShardedLiveMaintenance:
                 router.insert(op.rect)
             else:
                 router.delete(op.rect)
-            # serve batches mid-stream so shard caches go stale
+            # the stream's scalar queries fill the shard caches; a
+            # batch after every mutation revalidates mid-stream
             if op.kind != "query":
                 router.estimate_batch(queries)
         np.testing.assert_array_equal(
@@ -305,7 +288,7 @@ class TestShardedLiveMaintenance:
         boxes = [s.routing_box() for s in sharded.shards]
         assert not boxes[0].intersects(boxes[1])
         router = ShardRouter(sharded)
-        # per-shard query sets: each batch row lands on one shard only
+        # per-shard query sets: each query lands on one shard only
         mixed = RectSet(np.vstack([
             range_queries(
                 sharded.shards[0].hist.current_data(), 0.3, 15,
@@ -316,7 +299,7 @@ class TestShardedLiveMaintenance:
                 seed=45,
             ).coords,
         ]))
-        router.estimate_batch(mixed)  # populate both shard caches
+        _scalar_loop(router, mixed)  # populate both shard caches
         cold = sharded.shards[0]
         warm = sharded.shards[1]
         warm_hits = warm.engine.cache.hits
@@ -325,10 +308,10 @@ class TestShardedLiveMaintenance:
         assert sharded.owner_of(rect) == cold.shard_id
         router.insert(rect)
         result, counters = capture_counters(
-            lambda: router.estimate_batch(mixed)
+            lambda: _scalar_loop(router, mixed)
         )
         # the touched shard flushed; the untouched shard answered
-        # its whole sub-batch from its still-warm cache
+        # all of its queries from its still-warm cache
         assert cold.engine.cache.flushes == 1
         assert warm.engine.cache.flushes == 0
         assert warm.engine.cache.hits == warm_hits + 15
